@@ -43,10 +43,8 @@ def run_replica(env: BenchEnv, templates, cache_policy="fifo", cache=0):
     # pruning is a simplification of *that* scan (§7.4's "directly
     # proportional to the number of stored filters"), and the routed
     # answer path (bench_replica_scaling) already narrows candidates so
-    # far that there is nothing left for templates to prune.  amq=False
-    # keeps the prescreens (docs/ROUTING.md §10) out of the same scan:
-    # the negative result cache short-circuits repeated misses, which
-    # would deflate the check counts this ablation compares.
+    # far that there is nothing left for templates to prune.  The
+    # linear scan is memo-free, so repeated misses pay full price too.
     replica = FilterReplica(
         "branch",
         network=SimulatedNetwork(),
@@ -54,7 +52,6 @@ def run_replica(env: BenchEnv, templates, cache_policy="fifo", cache=0):
         cache_capacity=cache,
         cache_policy=cache_policy,
         routing=False,
-        amq=False,
     )
     for block, cc, _h in hot_blocks(env)[:N_FILTERS]:
         replica.add_filter(block_filter(block, cc), provider)

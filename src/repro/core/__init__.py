@@ -24,7 +24,7 @@ from .filter_containment import (
     predicate_contained_in,
     prefix_upper_bound,
 )
-from .filter_replica import FilterReplica, StoredFilter
+from .filter_replica import FilterReplica, NegativeResultCache, StoredFilter
 from .frontend import ReplicaFrontend
 from .generalization import (
     Generalizer,
@@ -34,7 +34,7 @@ from .generalization import (
     PrefixSuffixGeneralization,
     SuffixGeneralization,
 )
-from .query_cache import CachedQuery, NegativeResultCache, RecentQueryCache
+from .query_cache import CachedQuery, RecentQueryCache
 from .replica import AnswerStatus, HitStats, ReplicaAnswer
 from .routing import ContainmentIndex, guard_atoms, probe_atoms
 from .selection import CandidateStats, FilterSelector, SelectionReport

@@ -19,7 +19,8 @@ The replica combines the three content sources of §7:
 With ``routing=True`` (the default) the ``QC`` scan is replaced by
 candidate routing through a :class:`~repro.core.routing.
 ContainmentIndex` — guard-atom posting lists plus a base-DN region
-prefix structure, with a positive memo for repeat queries — so
+prefix structure, with a positive memo for repeat queries and an
+exact negative cache for repeat misses — so
 ``answer()`` consults O(candidates) stored filters instead of all of
 them, and hit evaluation runs compiled filters over
 :meth:`SyncedContent.evaluate`'s incremental indexes instead of an
@@ -34,6 +35,7 @@ path's, split out as ``core.replica.containment_checks{source}``.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -46,12 +48,62 @@ from ..server.network import SimulatedNetwork
 from ..server.operations import Referral
 from ..sync.consumer import SyncedContent
 from .containment import query_contained_in
-from .query_cache import NegativeResultCache, RecentQueryCache
+from .query_cache import RecentQueryCache
 from .replica import AnswerStatus, HitStats, ReplicaAnswer
 from .routing import ContainmentIndex
 from .templates import TemplateRegistry, template_key
 
-__all__ = ["StoredFilter", "FilterReplica"]
+__all__ = ["StoredFilter", "FilterReplica", "NegativeResultCache"]
+
+
+class NegativeResultCache:
+    """Exact-key memo of requests known to miss every stored filter.
+
+    The routing index memoizes only *positive* outcomes; without this
+    cache a repeated miss re-derives the whole "nothing contains this"
+    proof every time.  ``note_miss`` records a request that provably
+    missed, and ``known_miss`` answers the repeat in one dict probe.
+
+    Keys are the full :class:`~repro.ldap.query.SearchRequest`
+    (hashable by value): an approximate key could wrongly skip a hit.
+    Adding a stored filter is the only event that can turn a miss into
+    a hit, so the owner drops the whole cache via :meth:`invalidate`
+    on every add; removals need no invalidation.  FIFO-bounded; the
+    plain-int hits/lookups/invalidations are published as
+    ``core.qc.negcache.*`` by :meth:`FilterReplica.sync_amq_metrics`.
+    """
+
+    def __init__(self, capacity: int = 4_096):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self._misses: "OrderedDict[SearchRequest, None]" = OrderedDict()
+        self.hits = 0
+        self.lookups = 0
+        self.invalidations = 0
+
+    def known_miss(self, request: SearchRequest) -> bool:
+        """True iff *request* missed since the last invalidation."""
+        self.lookups += 1
+        if request in self._misses:
+            self.hits += 1
+            return True
+        return False
+
+    def note_miss(self, request: SearchRequest) -> None:
+        """Record a proven miss, evicting the oldest beyond capacity."""
+        self._misses[request] = None
+        while len(self._misses) > self.capacity:
+            self._misses.popitem(last=False)
+
+    def invalidate(self) -> None:
+        """Drop every recorded miss (a stored filter was added)."""
+        if self._misses:
+            self._misses.clear()
+            self.invalidations += 1
+
+    def __len__(self) -> int:
+        return len(self._misses)
 
 
 @dataclass
@@ -92,17 +144,13 @@ class FilterReplica:
             disjunct evaluations.  Sound (each disjunct's answer set is
             complete) and strictly increases hit ratio.
         routing: route stored-filter and cache lookups through
-            :class:`~repro.core.routing.ContainmentIndex` and evaluate
+            :class:`~repro.core.routing.ContainmentIndex` (plus the
+            stored-filter :class:`NegativeResultCache`) and evaluate
             hits through content indexes; ``False`` replays the seed
-            linear scans (the property-test oracle).
-        amq: enable the miss-side prescreens of docs/ROUTING.md §10 —
-            the routing index's guard-atom AMQ, content-index AMQs, and
-            the negative result caches over the stored-filter scan and
-            the QC window.  ``False`` bypasses every prescreen while
-            keeping answers byte-identical (the oracle for
-            ``tests/core/test_prescreen_equivalence.py``).
+            linear scans, memo-free (the property-test oracle).
         metrics: registry for ``core.replica.*`` / ``core.route.*`` /
-            ``core.amq.*`` counters (private registry by default).
+            ``core.qc.negcache.*`` counters (private registry by
+            default).
     """
 
     def __init__(
@@ -115,7 +163,6 @@ class FilterReplica:
         compose_unions: bool = False,
         cache_policy: str = "fifo",
         routing: bool = True,
-        amq: bool = True,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
@@ -124,20 +171,19 @@ class FilterReplica:
         self.templates = templates
         self.compose_unions = compose_unions
         self.routing = routing
-        self.amq = amq
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = RecentQueryCache(
-            cache_capacity, policy=cache_policy, indexed=routing, amq=amq
+            cache_capacity, policy=cache_policy, indexed=routing
         )
         self._stored: Dict[SearchRequest, StoredFilter] = {}
         self._index: Optional[ContainmentIndex] = (
-            ContainmentIndex(amq=amq) if routing else None
+            ContainmentIndex() if routing else None
         )
-        # Stored-path negative cache: only when no template registry is
+        # Routed-path negative cache: only when no template registry is
         # attached — registries are mutable, and a template registered
         # after a recorded miss could change the prune decision.
         self._negative: Optional[NegativeResultCache] = (
-            NegativeResultCache() if amq and templates is None else None
+            NegativeResultCache() if routing and templates is None else None
         )
         self._persist_handles: Dict[SearchRequest, object] = {}
         self.stats = HitStats()
@@ -175,7 +221,7 @@ class FilterReplica:
             return self._stored[request]
         stored = StoredFilter(
             request=request,
-            content=SyncedContent(request, network=self.network, amq=self.amq),
+            content=SyncedContent(request, network=self.network),
             key=template_key(request.filter),
             sync_interval=sync_interval,
         )
@@ -296,23 +342,18 @@ class FilterReplica:
     def _find_stored(self, request: SearchRequest, qkey: str) -> Optional[StoredFilter]:
         """First stored query containing *request*, in insertion order.
 
-        The routed path consults the :class:`ContainmentIndex` (positive
-        memo, then guard-atom/region candidates); the linear path
-        replays the seed scan.  Both apply the ``templates.may_answer``
-        prune and count each :func:`query_contained_in` actually run, so
-        answers — and the prune's effect on ``containment_checks`` — are
-        identical.
-
-        With prescreens on, a request that already proved to miss every
-        stored filter short-circuits through the negative result cache
-        (exact keys; invalidated whenever a filter is added), skipping
-        both the candidate walk and its containment checks.  The
-        *answer* is identical either way — only the re-derivation cost
-        differs.
+        The routed path consults the negative cache (a request that
+        already missed every stored filter, with no filter added since),
+        then the :class:`ContainmentIndex` (positive memo, then guard-
+        atom/region candidates); the linear path replays the seed scan
+        with no memo.  Both apply the ``templates.may_answer`` prune and
+        count each :func:`query_contained_in` actually run, so answers
+        are identical; only the routed path's re-derivation cost (and
+        ``containment_checks``) is lower on repeats.
         """
-        if self._negative is not None and self._negative.known_miss(request):
-            return None
         if self._index is not None:
+            if self._negative is not None and self._negative.known_miss(request):
+                return None
             memo = self._index.memo_get(request)
             if memo is not None:
                 self._route_memo_hits.inc()
@@ -342,8 +383,6 @@ class FilterReplica:
             self._checks_stored.inc()
             if query_contained_in(request, stored.request):
                 return stored
-        if self._negative is not None:
-            self._negative.note_miss(request)
         return None
 
     def _cache_lookup(self, request: SearchRequest):
@@ -452,57 +491,30 @@ class FilterReplica:
         self.cache.insert(request, entries)
 
     # ------------------------------------------------------------------
-    # prescreen observability
+    # negative-cache observability
     # ------------------------------------------------------------------
     def sync_amq_metrics(self) -> None:
-        """Mirror the prescreens' plain-int accounting into the metric
-        registry (docs/OBSERVABILITY.md §2).
+        """Mirror the stored-filter negative cache's plain-int
+        accounting into ``core.qc.negcache.*{site="stored"}``
+        (docs/OBSERVABILITY.md §2).
 
-        The prescreens keep plain ints on the hot path; this publishes
-        them on demand — benches and dashboards call it once per
-        snapshot instead of paying instrument updates per answer.
+        The cache keeps plain ints on the hot path; this publishes them
+        on demand — benches and dashboards call it once per snapshot
+        instead of paying instrument updates per answer.
         ``Counter.set`` is the documented idiom for syncing externally
-        maintained counts.
+        maintained counts.  The name is kept for existing callers.
         """
-        sites = []
-        if self._index is not None and self._index.amq is not None:
-            sites.append(("routing", self._index.amq))
-        cache_index = self.cache._index
-        if cache_index is not None and cache_index.amq is not None:
-            sites.append(("query_cache", cache_index.amq))
-        for stored in self._stored.values():
-            summary = stored.content.amq_summary()
-            if summary is not None:
-                sites.append(("content", summary))
-                break  # one representative content index per snapshot
-        for site, summary in sites:
-            self.metrics.counter("core.amq.lookups", site=site).set(summary.lookups)
-            self.metrics.counter("core.amq.negatives", site=site).set(
-                summary.negatives
-            )
-            self.metrics.counter("core.amq.extensions", site=site).set(
-                summary.extensions
-            )
-            self.metrics.gauge("core.amq.items", site=site).set(summary.items)
-            self.metrics.gauge("core.amq.occupancy", site=site).set(
-                summary.occupancy()
-            )
-            self.metrics.gauge("core.amq.fpr", site=site).set(summary.fpr())
-        for site, negcache in (
-            ("stored", self._negative),
-            ("query_cache", self.cache.negatives),
-        ):
-            if negcache is None:
-                continue
-            self.metrics.counter("core.qc.negcache.hits", site=site).set(
-                negcache.hits
-            )
-            self.metrics.counter("core.qc.negcache.lookups", site=site).set(
-                negcache.lookups
-            )
-            self.metrics.counter("core.qc.negcache.invalidations", site=site).set(
-                negcache.invalidations
-            )
+        negcache = self._negative
+        if negcache is None:
+            return
+        site = "stored"
+        self.metrics.counter("core.qc.negcache.hits", site=site).set(negcache.hits)
+        self.metrics.counter("core.qc.negcache.lookups", site=site).set(
+            negcache.lookups
+        )
+        self.metrics.counter("core.qc.negcache.invalidations", site=site).set(
+            negcache.invalidations
+        )
 
     # ------------------------------------------------------------------
     # sizing

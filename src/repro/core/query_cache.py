@@ -33,59 +33,7 @@ from ..ldap.query import SearchRequest
 from .containment import query_contained_in
 from .routing import ContainmentIndex
 
-__all__ = ["CachedQuery", "NegativeResultCache", "RecentQueryCache"]
-
-
-class NegativeResultCache:
-    """Exact-key memo of requests known to miss a containment scan.
-
-    Today only *positive* containment outcomes are memoized (the
-    routing index's winner memo); a repeated miss re-derives the whole
-    "nothing contains this" proof every time.  This cache closes that
-    gap: ``note_miss`` records a request that provably missed, and
-    ``known_miss`` answers the repeat in one dict probe.
-
-    Soundness requires exactness — an approximate structure could
-    wrongly skip a *hit* — so keys are the full :class:`~repro.ldap.
-    query.SearchRequest` (hashable by value), and any event that can
-    turn a miss into a hit (a query or filter **added** to the
-    population) drops the whole cache via :meth:`invalidate`.
-    Removals and evictions can only turn hits into misses, so they
-    need no invalidation.  FIFO-bounded; owners count hits/misses/
-    invalidations and mirror them into ``core.qc.negcache.*``.
-    """
-
-    def __init__(self, capacity: int = 4_096):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._misses: "OrderedDict[SearchRequest, None]" = OrderedDict()
-        self.hits = 0
-        self.lookups = 0
-        self.invalidations = 0
-
-    def known_miss(self, request: SearchRequest) -> bool:
-        """True iff *request* missed since the last invalidation."""
-        self.lookups += 1
-        if request in self._misses:
-            self.hits += 1
-            return True
-        return False
-
-    def note_miss(self, request: SearchRequest) -> None:
-        """Record a proven miss, evicting the oldest beyond capacity."""
-        self._misses[request] = None
-        while len(self._misses) > self.capacity:
-            self._misses.popitem(last=False)
-
-    def invalidate(self) -> None:
-        """Drop every recorded miss (the population gained a member)."""
-        if self._misses:
-            self._misses.clear()
-            self.invalidations += 1
-
-    def __len__(self) -> int:
-        return len(self._misses)
+__all__ = ["CachedQuery", "RecentQueryCache"]
 
 
 @dataclass
@@ -114,13 +62,6 @@ class RecentQueryCache:
 
     ``indexed=False`` disables candidate routing and replays the seed
     linear scan — the equivalence oracle for the property tests.
-
-    ``amq=True`` (the default) adds the miss-side prescreens of
-    docs/ROUTING.md §10: the routing index's guard-atom AMQ, plus a
-    :class:`NegativeResultCache` so a request that already proved to
-    miss the window is re-answered in one probe.  Insertions (the only
-    event that can turn a miss into a hit) invalidate it wholesale;
-    answers are byte-identical with ``amq=False``.
     """
 
     POLICIES = ("fifo", "lru")
@@ -130,7 +71,6 @@ class RecentQueryCache:
         capacity: int = 50,
         policy: str = "fifo",
         indexed: bool = True,
-        amq: bool = True,
     ):
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
@@ -140,10 +80,7 @@ class RecentQueryCache:
         self.policy = policy
         self._window: "OrderedDict[SearchRequest, CachedQuery]" = OrderedDict()
         self._index: Optional[ContainmentIndex] = (
-            ContainmentIndex(order="recency", amq=amq) if indexed and capacity else None
-        )
-        self.negatives: Optional[NegativeResultCache] = (
-            NegativeResultCache() if amq and capacity else None
+            ContainmentIndex(order="recency") if indexed and capacity else None
         )
         self._dn_refs: Dict[DN, int] = {}
         self.lookups = 0
@@ -191,11 +128,6 @@ class RecentQueryCache:
         self._ref(cached.entries)
         if self._index is not None:
             self._index.add(request, cached)
-        if self.negatives is not None:
-            # A new cached query may contain a previously-missed
-            # request; evictions below cannot create hits, so this is
-            # the only invalidation point.
-            self.negatives.invalidate()
         while len(self._window) > self.capacity:
             old_request, old_cached = self._window.popitem(last=False)
             self._evict(old_request, old_cached)
@@ -208,8 +140,6 @@ class RecentQueryCache:
         index only routed candidates are checked, in the same order.
         """
         self.lookups += 1
-        if self.negatives is not None and self.negatives.known_miss(request):
-            return None
         request_attrs = attributes_of(request.filter)
         if self._index is not None:
             window = (c.handle for c in self._index.candidates(request))
@@ -232,8 +162,6 @@ class RecentQueryCache:
                     if self._index is not None:
                         self._index.touch(cached.request)
                 return answer, str(cached.request)
-        if self.negatives is not None:
-            self.negatives.note_miss(request)
         return None
 
     def entry_count(self) -> int:

@@ -220,3 +220,57 @@ class TestSyncAndSizing:
         replica = FilterReplica("branch")
         replica.add_filter(STORED, provider)
         assert "branch" in repr(replica)
+
+
+# ----------------------------------------------------------------------
+# stored-filter negative cache (routed path only)
+# ----------------------------------------------------------------------
+def test_stored_negative_cache_invalidated_by_add_filter():
+    """A recorded miss must not survive a filter that now contains it."""
+    replica = FilterReplica("r")
+    query = SearchRequest("o=xyz", Scope.SUB, "(sn=ab)")
+    assert not replica.answer(query).is_hit
+    assert not replica.answer(query).is_hit  # negcache path, still a miss
+    assert replica._negative is not None and replica._negative.hits >= 1
+    wide = SearchRequest("o=xyz", Scope.SUB, "(sn=ab)")
+    replica.load_directly(wide, [person("cn=s,o=xyz", sn=["ab"])])
+    answer = replica.answer(query)
+    assert answer.is_hit
+    assert [str(e.dn) for e in answer.entries] == ["cn=s,o=xyz"]
+
+
+def test_linear_scan_keeps_no_negative_cache():
+    """``routing=False`` is the memo-free seed scan: a repeated miss
+    pays its containment checks again."""
+    replica = FilterReplica("r", routing=False)
+    replica.load_directly(SearchRequest("o=xyz", Scope.SUB, "(uid=a)"), [])
+    miss = SearchRequest("o=xyz", Scope.SUB, "(uid=b)")
+    replica.answer(miss)
+    replica.answer(miss)
+    assert replica._negative is None
+    assert replica.containment_checks == 2
+
+
+def test_cache_insert_turns_repeated_miss_into_hit():
+    replica = FilterReplica("r", cache_capacity=4)
+    narrow = SearchRequest("o=xyz", Scope.SUB, "(sn=ab)")
+    assert not replica.answer(narrow).is_hit
+    assert not replica.answer(narrow).is_hit
+    wide = SearchRequest("o=xyz", Scope.SUB, "(sn=a*)")
+    replica.observe_miss(wide, [person("cn=s,o=xyz", sn=["ab"])])
+    answer = replica.answer(narrow)
+    assert answer.is_hit and answer.answered_by.startswith("cache:")
+
+
+def test_negative_cache_counters_surface_in_metrics():
+    replica = FilterReplica("r", cache_capacity=4)
+    miss = SearchRequest("o=xyz", Scope.SUB, "(uid=zzz)")
+    replica.answer(miss)
+    replica.answer(miss)
+    replica.sync_amq_metrics()
+    hits = replica.metrics.counter("core.qc.negcache.hits", site="stored").value
+    lookups = replica.metrics.counter(
+        "core.qc.negcache.lookups", site="stored"
+    ).value
+    assert hits >= 1
+    assert lookups >= 2

@@ -1,10 +1,14 @@
 """Routed replica answering must be byte-identical to the seed scan.
 
 ``FilterReplica(routing=False)`` preserves the seed linear containment
-scan and interpreted evaluation — the oracle.  The property drives both
-replicas through identical stored-filter sets, query streams, and
-cache feedback, and requires identical answers: status, entry list
-*including order*, ``answered_by`` attribution, and referrals.
+scan and interpreted evaluation, with no memo or negative cache — the
+oracle.  The property drives both replicas through identical stored-
+filter sets, query streams (each played twice, so the routed side's
+memo and negative cache answer repeats), filters added between
+queries, and cache feedback, and requires identical answers: status,
+entry list *including order*, ``answered_by`` attribution, and
+referrals.  A negative-cache entry that survives a filter add shows up
+as a routed miss where the oracle hits.
 
 The file also carries the satellite regressions that ride on this
 subsystem: the union path's template pruning, cache containment-check
@@ -29,6 +33,7 @@ from repro.ldap import (
     SearchRequest,
     Substring,
 )
+from repro.server.indexes import ContentIndex
 from repro.sync import SyncUpdate
 
 _ATTRS = ["sn", "uid", "l"]
@@ -107,7 +112,12 @@ def _answer_fp(answer):
     )
 
 
-def _drive(routing, directory, stored_requests, queries, capacity, unions, policy):
+def _drive(
+    routing, directory, stored_requests, queries, late, capacity, unions, policy
+):
+    """Answer *queries* in order; ``late`` holds ``(position, i)``
+    pairs: ``queries[i]`` is stored just before the query at
+    *position*, so it contains that query's later repeats."""
     replica = FilterReplica(
         "r",
         cache_capacity=capacity,
@@ -115,12 +125,19 @@ def _drive(routing, directory, stored_requests, queries, capacity, unions, polic
         cache_policy=policy,
         routing=routing,
     )
-    for request in stored_requests:
+
+    def store(request):
         replica.load_directly(
             request, [e for e in directory if request.selects(e)]
         )
+
+    for request in stored_requests:
+        store(request)
     outcomes = []
-    for query in queries:
+    for position, query in enumerate(queries):
+        for at, i in late:
+            if at == position:
+                store(queries[i % len(queries)])
         answer = replica.answer(query)
         outcomes.append(_answer_fp(answer))
         if not answer.is_hit:
@@ -136,20 +153,23 @@ def _drive(routing, directory, stored_requests, queries, capacity, unions, polic
     st.lists(_entries, min_size=1, max_size=8, unique_by=lambda e: str(e.dn)),
     st.lists(_requests, min_size=1, max_size=6),
     st.lists(_requests, min_size=1, max_size=10),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=19),
+            st.integers(min_value=0, max_value=19),
+        ),
+        max_size=3,
+    ),
     st.sampled_from([0, 3]),
     st.booleans(),
     st.sampled_from(["fifo", "lru"]),
 )
 def test_routed_answers_equal_linear(
-    directory, stored_requests, queries, capacity, unions, policy
+    directory, stored_requests, queries, late, capacity, unions, policy
 ):
-    routed = _drive(
-        True, directory, stored_requests, queries, capacity, unions, policy
-    )
-    linear = _drive(
-        False, directory, stored_requests, queries, capacity, unions, policy
-    )
-    assert routed == linear
+    stream = list(queries) + list(queries)
+    args = (directory, stored_requests, stream, late, capacity, unions, policy)
+    assert _drive(True, *args) == _drive(False, *args)
 
 
 _TEMPLATES = TemplateRegistry.from_strings("(sn=_)", "(uid=_)", "(|(sn=_)(uid=_))")
@@ -175,6 +195,33 @@ def test_routed_answers_equal_linear_with_templates(
         return [_answer_fp(replica.answer(q)) for q in queries]
 
     assert drive(True) == drive(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_entries, min_size=1, max_size=8, unique_by=lambda e: str(e.dn)),
+    st.lists(_requests, min_size=1, max_size=8),
+    st.lists(st.integers(min_value=0, max_value=7), max_size=3),
+)
+def test_content_index_candidates_sound(directory, queries, deletions):
+    """``ContentIndex`` candidates stay supersets of the linear scan's
+    matches through deletes folded into already-built indexes."""
+    live = {e.dn: e for e in directory}
+    index = ContentIndex(live)
+    for query in queries:  # build the equality indexes first
+        index.candidates(query)
+    for i in deletions:
+        dns = list(live)
+        if i < len(dns):
+            dn = dns[i]
+            index.discard(dn, live.pop(dn))
+    for query in queries:
+        want = {
+            dn for dn, e in live.items() if query.in_scope(dn) and query.selects(e)
+        }
+        got = index.candidates(query)
+        if got is not None:
+            assert want <= got
 
 
 # ----------------------------------------------------------------------
